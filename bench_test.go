@@ -18,8 +18,8 @@ import (
 	_ "gostats/internal/bench/all"
 	"gostats/internal/bench/facetrack"
 	"gostats/internal/bench/trackutil"
-	"gostats/internal/core"
 	"gostats/internal/critpath"
+	"gostats/internal/engine"
 	"gostats/internal/experiments"
 	"gostats/internal/machine"
 	"gostats/internal/memsim"
@@ -176,12 +176,12 @@ func BenchmarkSTATSRuntimeFacetrack(b *testing.B) {
 	p.Frames = 150
 	ft := facetrack.NewWithParams(p)
 	ins := ft.Inputs(rng.New(1))
-	cfg := core.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}
+	cfg := engine.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := machine.New(machine.DefaultConfig(8))
 		err := m.Run("main", func(th *machine.Thread) {
-			if _, err := core.Run(core.NewSimExec(th), ft, ins, cfg); err != nil {
+			if _, err := engine.Run(engine.NewSimExec(th), ft, ins, cfg); err != nil {
 				b.Error(err)
 			}
 		})
@@ -200,8 +200,8 @@ func BenchmarkCritpathWhatIf(b *testing.B) {
 	tr := trace.New()
 	m := machine.New(machine.DefaultConfig(8), machine.WithTrace(tr))
 	err := m.Run("main", func(th *machine.Thread) {
-		if _, err := core.Run(core.NewSimExec(th), ft, ins,
-			core.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}); err != nil {
+		if _, err := engine.Run(engine.NewSimExec(th), ft, ins,
+			engine.Config{Chunks: 8, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}); err != nil {
 			b.Error(err)
 		}
 	})
@@ -270,10 +270,10 @@ func BenchmarkNativeRuntime(b *testing.B) {
 	p.Frames = 100
 	ft := facetrack.NewWithParams(p)
 	ins := ft.Inputs(rng.New(1))
-	cfg := core.Config{Chunks: 4, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}
+	cfg := engine.Config{Chunks: 4, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(core.NewNativeExec(), ft, ins, cfg); err != nil {
+		if _, err := engine.Run(engine.NewNativeExec(), ft, ins, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

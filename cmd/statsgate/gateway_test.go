@@ -25,7 +25,7 @@ import (
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
 	"gostats/internal/cluster"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
 	"gostats/internal/serve"
 	"gostats/internal/stream"
@@ -65,7 +65,7 @@ func newGate(t *testing.T, policy cluster.RoutingPolicy, bucket *cluster.TokenBu
 }
 
 // sessionInputs truncates a benchmark's native inputs to n.
-func sessionInputs(t *testing.T, name string, n int) []core.Input {
+func sessionInputs(t *testing.T, name string, n int) []engine.Input {
 	t.Helper()
 	b, err := bench.New(name)
 	if err != nil {
@@ -79,7 +79,7 @@ func sessionInputs(t *testing.T, name string, n int) []core.Input {
 }
 
 // ndjsonBody encodes inputs as a session request body.
-func ndjsonBody(t *testing.T, name string, inputs []core.Input) []byte {
+func ndjsonBody(t *testing.T, name string, inputs []engine.Input) []byte {
 	t.Helper()
 	codec, err := bench.CodecFor(name)
 	if err != nil {

@@ -5,20 +5,19 @@ import (
 	"fmt"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 )
 
 func init() {
-	bench.RegisterCodec("dedupstream", func() bench.StreamCodec { return codec{} })
-	bench.RegisterWire("dedupstream", func() bench.WireCodec { return codec{} })
+	bench.RegisterCodec("dedupstream", func() bench.WireCodec { return codec{} })
 }
 
 // codec streams dedupstream over NDJSON: one base64 Segment per request
 // line, one SegmentStats per committed output line, and the fingerprint
-// index as state for checkpoints and out-of-process chunk execution.
+// index as state for checkpoints.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (core.Input, error) {
+func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	var seg Segment
 	if err := json.Unmarshal(data, &seg); err != nil {
 		return nil, fmt.Errorf("dedupstream: bad segment: %w", err)
@@ -26,7 +25,7 @@ func (codec) DecodeInput(data []byte) (core.Input, error) {
 	return seg, nil
 }
 
-func (codec) EncodeInput(in core.Input) ([]byte, error) {
+func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	seg, ok := in.(Segment)
 	if !ok {
 		return nil, fmt.Errorf("dedupstream: input is %T, want Segment", in)
@@ -34,20 +33,12 @@ func (codec) EncodeInput(in core.Input) ([]byte, error) {
 	return json.Marshal(seg)
 }
 
-func (codec) EncodeOutput(out core.Output) ([]byte, error) {
+func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	ss, ok := out.(SegmentStats)
 	if !ok {
 		return nil, fmt.Errorf("dedupstream: output is %T, want SegmentStats", out)
 	}
 	return json.Marshal(ss)
-}
-
-func (codec) DecodeOutput(data []byte) (core.Output, error) {
-	var ss SegmentStats
-	if err := json.Unmarshal(data, &ss); err != nil {
-		return nil, fmt.Errorf("dedupstream: bad segment stats: %w", err)
-	}
-	return ss, nil
 }
 
 // wireState is dedupState's serialized form: the live insertion-log tail
@@ -64,7 +55,7 @@ type wireState struct {
 	EMA  float64  `json:"ema"`
 }
 
-func (codec) EncodeState(s core.State) ([]byte, error) {
+func (codec) EncodeState(s engine.State) ([]byte, error) {
 	st, ok := s.(*dedupState)
 	if !ok {
 		return nil, fmt.Errorf("dedupstream: state is %T, want *dedupState", s)
@@ -82,7 +73,7 @@ func (codec) EncodeState(s core.State) ([]byte, error) {
 	return json.Marshal(w)
 }
 
-func (codec) DecodeState(data []byte) (core.State, error) {
+func (codec) DecodeState(data []byte) (engine.State, error) {
 	var w wireState
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("dedupstream: bad state: %w", err)

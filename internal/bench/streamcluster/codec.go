@@ -5,20 +5,19 @@ import (
 	"fmt"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 )
 
 func init() {
-	bench.RegisterCodec("streamcluster", func() bench.StreamCodec { return codec{} })
-	bench.RegisterWire("streamcluster", func() bench.WireCodec { return codec{} })
+	bench.RegisterCodec("streamcluster", func() bench.WireCodec { return codec{} })
 }
 
 // codec streams streamcluster over NDJSON: one point Block per request
 // line, one BlockCost per committed output line, and the 104-byte center
-// state for checkpoints and out-of-process chunk execution.
+// state for checkpoints.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (core.Input, error) {
+func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	var blk Block
 	if err := json.Unmarshal(data, &blk); err != nil {
 		return nil, fmt.Errorf("streamcluster: bad block: %w", err)
@@ -26,7 +25,7 @@ func (codec) DecodeInput(data []byte) (core.Input, error) {
 	return blk, nil
 }
 
-func (codec) EncodeInput(in core.Input) ([]byte, error) {
+func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	blk, ok := in.(Block)
 	if !ok {
 		return nil, fmt.Errorf("streamcluster: input is %T, want Block", in)
@@ -34,20 +33,12 @@ func (codec) EncodeInput(in core.Input) ([]byte, error) {
 	return json.Marshal(blk)
 }
 
-func (codec) EncodeOutput(out core.Output) ([]byte, error) {
+func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	bc, ok := out.(BlockCost)
 	if !ok {
 		return nil, fmt.Errorf("streamcluster: output is %T, want BlockCost", out)
 	}
 	return json.Marshal(bc)
-}
-
-func (codec) DecodeOutput(data []byte) (core.Output, error) {
-	var bc BlockCost
-	if err := json.Unmarshal(data, &bc); err != nil {
-		return nil, fmt.Errorf("streamcluster: bad block cost: %w", err)
-	}
-	return bc, nil
 }
 
 // wireState is clusterState's serialized form.
@@ -57,7 +48,7 @@ type wireState struct {
 	Lag     float64          `json:"lag"`
 }
 
-func (codec) EncodeState(s core.State) ([]byte, error) {
+func (codec) EncodeState(s engine.State) ([]byte, error) {
 	st, ok := s.(*clusterState)
 	if !ok {
 		return nil, fmt.Errorf("streamcluster: state is %T, want *clusterState", s)
@@ -65,7 +56,7 @@ func (codec) EncodeState(s core.State) ([]byte, error) {
 	return json.Marshal(wireState{Centers: st.centers, N: st.n, Lag: st.lag})
 }
 
-func (codec) DecodeState(data []byte) (core.State, error) {
+func (codec) DecodeState(data []byte) (engine.State, error) {
 	var w wireState
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("streamcluster: bad state: %w", err)

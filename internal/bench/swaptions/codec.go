@@ -5,20 +5,19 @@ import (
 	"fmt"
 
 	"gostats/internal/bench"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 )
 
 func init() {
-	bench.RegisterCodec("swaptions", func() bench.StreamCodec { return codec{} })
-	bench.RegisterWire("swaptions", func() bench.WireCodec { return codec{} })
+	bench.RegisterCodec("swaptions", func() bench.WireCodec { return codec{} })
 }
 
 // codec streams swaptions over NDJSON: one Batch per request line, one
-// Price per committed output line, and — for checkpoints and
-// out-of-process chunk execution — the raw 24-byte estimator as state.
+// Price per committed output line, and the raw 24-byte estimator as state
+// for checkpoints.
 type codec struct{}
 
-func (codec) DecodeInput(data []byte) (core.Input, error) {
+func (codec) DecodeInput(data []byte) (engine.Input, error) {
 	var b Batch
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("swaptions: bad batch: %w", err)
@@ -26,7 +25,7 @@ func (codec) DecodeInput(data []byte) (core.Input, error) {
 	return b, nil
 }
 
-func (codec) EncodeInput(in core.Input) ([]byte, error) {
+func (codec) EncodeInput(in engine.Input) ([]byte, error) {
 	b, ok := in.(Batch)
 	if !ok {
 		return nil, fmt.Errorf("swaptions: input is %T, want Batch", in)
@@ -34,20 +33,12 @@ func (codec) EncodeInput(in core.Input) ([]byte, error) {
 	return json.Marshal(b)
 }
 
-func (codec) EncodeOutput(out core.Output) ([]byte, error) {
+func (codec) EncodeOutput(out engine.Output) ([]byte, error) {
 	p, ok := out.(Price)
 	if !ok {
 		return nil, fmt.Errorf("swaptions: output is %T, want Price", out)
 	}
 	return json.Marshal(p)
-}
-
-func (codec) DecodeOutput(data []byte) (core.Output, error) {
-	var p Price
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("swaptions: bad price: %w", err)
-	}
-	return p, nil
 }
 
 // wireState is estState's serialized form. encoding/json round-trips
@@ -59,7 +50,7 @@ type wireState struct {
 	Sw    int     `json:"sw"`
 }
 
-func (codec) EncodeState(s core.State) ([]byte, error) {
+func (codec) EncodeState(s engine.State) ([]byte, error) {
 	e, ok := s.(*estState)
 	if !ok {
 		return nil, fmt.Errorf("swaptions: state is %T, want *estState", s)
@@ -67,7 +58,7 @@ func (codec) EncodeState(s core.State) ([]byte, error) {
 	return json.Marshal(wireState{Sum: e.sum, SumSq: e.sumSq, N: e.n, Sw: e.sw})
 }
 
-func (codec) DecodeState(data []byte) (core.State, error) {
+func (codec) DecodeState(data []byte) (engine.State, error) {
 	var w wireState
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("swaptions: bad state: %w", err)

@@ -17,7 +17,7 @@ import (
 	"math"
 	"sync/atomic"
 
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/memsim"
 	"gostats/internal/rng"
 )
@@ -238,11 +238,10 @@ func CloneCloudInto(dst, src *Cloud) *Cloud {
 	return dst
 }
 
-// WireCloud is Cloud's serialized form for checkpoint snapshots and the
-// out-of-process chunk protocol: the logical state only. The region ID is
-// minted fresh on decode (state identity is process-local, and a decoded
-// cloud IS a new live state — exactly like a clone); working storage is
-// not carried (it is rebuilt lazily and never read before written).
+// WireCloud is Cloud's serialized form for checkpoint snapshots: the
+// logical state only. The region ID is minted fresh on decode (state
+// identity is process-local, and a decoded cloud IS a new live state —
+// exactly like a clone); working storage is not carried (it is rebuilt lazily and never read before written).
 type WireCloud struct {
 	P    []float64 `json:"p"`
 	W    []float64 `json:"w"`
@@ -272,12 +271,12 @@ func (w WireCloud) Live() *Cloud {
 }
 
 // Digest summarizes the cloud for digest-gated validation
-// (core.Fingerprinter): the leading coordinates of the posterior-mean
+// (engine.Fingerprinter): the leading coordinates of the posterior-mean
 // estimate, quantized at cell. Trackers match on the Euclidean distance
 // between estimates, and each coordinate of that distance is bounded by
 // it — so with cell set to the tracker's match tolerance, two clouds
 // that Match always land within one quantization step per lane, which is
-// exactly the conservativeness core.DigestsMayMatch requires.
+// exactly the conservativeness engine.DigestsMayMatch requires.
 func (c *Cloud) Digest(cell float64) uint64 {
 	lanes := c.Dims
 	if lanes > 4 {
@@ -293,9 +292,9 @@ func (c *Cloud) Digest(cell float64) uint64 {
 	}
 	var packed [4]int64
 	for d := 0; d < lanes; d++ {
-		packed[d] = core.QuantizeLane(est[d], cell)
+		packed[d] = engine.QuantizeLane(est[d], cell)
 	}
-	return core.PackLanes(packed[0], packed[1], packed[2], packed[3])
+	return engine.PackLanes(packed[0], packed[1], packed[2], packed[3])
 }
 
 // Profile returns the cloud's memory-access profile for the given base,

@@ -80,7 +80,7 @@ type MigrationSpec struct {
 	// window).
 	CheckpointCost time.Duration
 	// ResumeCost delays the destination backend's service start while
-	// the snapshot restores (statsworker respawn + state decode).
+	// the snapshot restores (snapshot and state decode).
 	ResumeCost time.Duration
 }
 

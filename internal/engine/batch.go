@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -53,8 +54,8 @@ type run struct {
 	root   *rng.Stream
 	pool   *StatePool
 	sink   Sink
-	inj    Injector    // prog's fault injector, if it carries one
-	pol    FaultPolicy // normalized fault policy
+	inj    Injector // prog's fault injector, if it carries one
+	att    attempts // normalized fault policy and the chunk attempt loop
 
 	threads atomic.Int64
 	states  atomic.Int64
@@ -94,14 +95,16 @@ func runBatch(ex Exec, p Program, inputs []Input, cfg Config, sink Sink) (*Repor
 		root:   rng.New(cfg.Seed).Derive("stats:" + p.Name()),
 		pool:   NewStatePool(p),
 		sink:   sink,
-		pol:    cfg.Fault.normalized(),
+		// Run's signature supplies no context, so backoff sleeps always
+		// run to completion.
+		att: attempts{pol: cfg.Fault.normalized(), ctx: context.TODO(), sink: sink},
 	}
 	rt.inj, _ = p.(Injector)
 	chunks := len(rt.bounds)
 	rt.slots = make([]*slot, chunks)
 	rt.outs = make([][]Output, chunks)
 
-	rt.emit(Event{Kind: EvSessionStart, Chunk: -1, Worker: -1})
+	rt.emit(Event{Kind: EvSessionStart, Chunk: -1, Worker: -1, Start: rt.now()})
 	rt.emit(Event{Kind: EvIngest, Chunk: -1, Worker: -1, N: len(inputs)})
 
 	// --- Sequential code before the STATS region (§III-D). ---
@@ -236,26 +239,11 @@ func (rt *run) worker(ex Exec, j int, start State) {
 	var outs []Output
 	var final State
 	var origs []State
-	var specFault *ChunkFault
 	published := false
-	for attempt := 0; ; attempt++ {
-		outs, final, origs = nil, nil, nil
-		site := SiteAltProducer
-		fault := runProtected(j, attempt, &site, func() {
-			outs, final, origs = rt.speculateOnce(ex, g, j, attempt, start, myRng, jit, &published, &site)
-		})
-		if fault == nil {
-			break
-		}
-		rt.emit(Event{Kind: EvFault, Chunk: j, Worker: j, N: attempt, M: int(fault.Site)})
-		if attempt >= rt.pol.MaxRetries {
-			specFault = fault
-			break
-		}
-		d := rt.pol.backoff(attempt, myRng)
-		rt.emit(Event{Kind: EvRetry, Chunk: j, Worker: j, N: attempt + 1, Dur: d})
-		time.Sleep(d)
-	}
+	site := SiteAltProducer
+	specFault := rt.att.retry(j, j, &site, myRng, func(n int) {
+		outs, final, origs = rt.speculateOnce(ex, g, j, n, start, myRng, jit, &published, &site)
+	})
 	if specFault == nil {
 		rt.emit(Event{Kind: EvSpeculated, Chunk: j, Worker: j,
 			N: len(rt.chunkInputs(j)), Start: tSpec, Dur: rt.since(tSpec)})
@@ -312,25 +300,10 @@ func (rt *run) worker(ex Exec, j int, start State) {
 		for _, o := range origs {
 			rt.pool.Release(o)
 		}
-		var rexFault *ChunkFault
-		for attempt := 0; ; attempt++ {
-			outs, final, origs = nil, nil, nil
-			site := SiteReexec
-			fault := runProtected(j, attempt, &site, func() {
-				outs, final, origs = rt.reexecOnce(ex, g, j, attempt, tf, srcLoc, myRng, jit, last)
-			})
-			if fault == nil {
-				break
-			}
-			rt.emit(Event{Kind: EvFault, Chunk: j, Worker: j, N: attempt, M: int(fault.Site)})
-			if attempt >= rt.pol.MaxRetries {
-				rexFault = fault
-				break
-			}
-			d := rt.pol.backoff(attempt, myRng)
-			rt.emit(Event{Kind: EvRetry, Chunk: j, Worker: j, N: attempt + 1, Dur: d})
-			time.Sleep(d)
-		}
+		site = SiteReexec
+		rexFault := rt.att.retry(j, j, &site, myRng, func(n int) {
+			outs, final, origs = rt.reexecOnce(ex, g, j, n, tf, srcLoc, myRng, jit, last)
+		})
 		if rexFault != nil {
 			rt.setFatal(&FaultError{Fault: rexFault})
 			rt.poison(ex, j)
@@ -402,7 +375,7 @@ func (rt *run) poison(ex Exec, j int) {
 // check — the chunk body, and original-state generation. site tracks the
 // protocol phase for fault attribution.
 func (rt *run) speculateOnce(ex Exec, g *Gang, j, attempt int, start State, myRng, jit *rng.Stream, published *bool, site *FaultSite) ([]Output, State, []State) {
-	p := guardProgram(rt.prog, rt.pol.ChunkDeadline)
+	p := guardProgram(rt.prog, rt.att.pol.ChunkDeadline)
 	last := j == len(rt.bounds)-1
 	s := start
 	if j == 0 {
@@ -465,7 +438,7 @@ func (rt *run) speculateOnce(ex Exec, g *Gang, j, attempt int, start State, myRn
 // the true predecessor state tf (nil for chunk 0, whose true start state
 // is a rebuilt initial state).
 func (rt *run) reexecOnce(ex Exec, g *Gang, j, attempt int, tf State, srcLoc int, myRng, jit *rng.Stream, last bool) ([]Output, State, []State) {
-	p := guardProgram(rt.prog, rt.pol.ChunkDeadline)
+	p := guardProgram(rt.prog, rt.att.pol.ChunkDeadline)
 	injectAt(rt.inj, SiteReexec, j, attempt, nil)
 	t0 := rt.now()
 	var s2 State

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"gostats/internal/autotune"
@@ -22,7 +21,7 @@ import (
 // re-derived identically on resume.
 
 // SessionCodec serializes one benchmark's inputs, outputs, and states for
-// checkpoints and the out-of-process chunk protocol. bench.WireCodec
+// checkpoints. bench.WireCodec
 // satisfies it; the engine keeps only the interface so it never depends
 // on benchmark packages.
 type SessionCodec interface {
@@ -68,41 +67,6 @@ type ResumeConfig struct {
 	// Codec decodes the snapshot's states and window inputs. Defaults to
 	// Checkpoint.Codec.
 	Codec SessionCodec
-}
-
-// ChunkRequest asks an executor to run one chunk's worker-side protocol.
-type ChunkRequest struct {
-	// Chunk is the session-monotonic chunk index; every rng derivation
-	// the executor needs is keyed by it.
-	Chunk int
-	// Attempt counts fault retries; attempts re-derive the same streams,
-	// so any successful attempt returns identical bytes.
-	Attempt int
-	// Window is the predecessor chunk's lookback window (nil for chunk
-	// 0); Inputs is the chunk body.
-	Window []Input
-	Inputs []Input
-}
-
-// ChunkReply carries the worker-side protocol's products: the published
-// speculative start state (nil for chunk 0), the speculative outputs, the
-// final state, and the original-state replicas for the successor's
-// boundary validation (Origs[0] is Final).
-type ChunkReply struct {
-	Spec  State
-	Outs  []Output
-	Final State
-	Origs []State
-}
-
-// ChunkRunner executes chunks somewhere other than the calling
-// goroutine — out of process (procexec.Pool), potentially off-host. A
-// runner's reply must be byte-identical to in-process execution of the
-// same request; the cross-executor equivalence matrix enforces this for
-// procexec. Errors are surfaced as retryable SiteProc chunk faults; after
-// the retry budget the chunk degrades to the in-process path.
-type ChunkRunner interface {
-	RunChunk(ctx context.Context, req ChunkRequest) (*ChunkReply, error)
 }
 
 // Halt stops the pipeline at the commit frontier: chunk assembly stops

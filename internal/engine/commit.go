@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gostats/internal/ring"
+	"gostats/internal/rng"
 	"gostats/internal/trace"
 )
 
@@ -109,22 +110,20 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 	if j > 0 {
 		// Settle the boundary's validation slot first: after this no
 		// prevalidator can be reading prev's replicas or r's spec.
-		vOK, vN, vStart, vDur, have := p.fr.settle(j)
+		v, have := p.fr.settle(j)
 		if r.fault == nil {
-			var inspected int
-			start, dur := vStart, vDur
-			if have && prev.spec {
-				// The verdict was computed against exactly the states the
-				// inline wave below would use; consume it.
-				ok, inspected = vOK, vN
-			} else {
+			if !have || !prev.spec {
+				// No usable verdict: validate inline. (A recorded one was
+				// computed against exactly the states this wave would
+				// use only when prev is its speculative lineage.)
 				//statslint:allow detpath wall time feeds the EvValidated Start/Dur instrumentation only; the verdict and inspected count are pure functions of the states
 				t0 := time.Now()
-				ok, inspected = matchAnyWave(p.ex, p.prog, prev.origs, prev.origFPs, r.spec, r.specFP, r.fpOK)
-				start, dur = t0, time.Since(t0) //statslint:allow detpath the duration lands in the EvValidated event below; no protocol decision reads it
+				v.ok, v.n = matchAnyWave(p.ex, p.prog, prev.origs, prev.origFPs, r.spec, r.specFP, r.fpOK)
+				v.worker, v.start, v.dur = -1, t0, time.Since(t0) //statslint:allow detpath the duration lands in the EvValidated event below; no protocol decision reads it
 			}
-			p.emit(Event{Kind: EvValidated, Chunk: j, Worker: -1,
-				N: inspected, Matched: ok, Start: start, Dur: dur})
+			ok = v.ok
+			p.emit(Event{Kind: EvValidated, Chunk: j, Worker: v.worker,
+				N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur})
 		}
 		// The boundary is resolved either way: the predecessor's replica
 		// originals and this chunk's published speculative copy are dead.
@@ -219,32 +218,14 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 // the last rung of the degradation ladder: if every re-execution attempt
 // faults too, the session fails with a structured FaultError (the caller
 // stops the pipeline; the process survives).
-func (p *Pipeline) reexecProtected(r *result, trueFinal State) ([]Output, State, []State, *ChunkFault) {
-	j := r.job.index
-	for attempt := 0; ; attempt++ {
-		var outs []Output
-		var final State
-		var origs []State
-		site := SiteReexec
-		//statslint:allow hotalloc recovery path: reexec runs only on mispeculation or fault, off the steady state
-		fault := runProtected(j, attempt, &site, func() {
-			outs, final, origs = p.reexecOnce(r, trueFinal, attempt)
-		})
-		if fault == nil {
-			return outs, final, origs, nil
-		}
-		p.faults.Add(1)
-		p.emit(Event{Kind: EvFault, Chunk: j, Worker: -1, N: attempt, M: int(fault.Site)})
-		if attempt >= p.pol.MaxRetries {
-			return nil, nil, nil, fault
-		}
-		d := p.pol.backoff(attempt, p.workerRng(j))
-		p.retries.Add(1)
-		p.emit(Event{Kind: EvRetry, Chunk: j, Worker: -1, N: attempt + 1, Dur: d})
-		if !sleepCtx(p.ctx, d) {
-			return nil, nil, nil, fault
-		}
-	}
+func (p *Pipeline) reexecProtected(r *result, trueFinal State) (outs []Output, final State, origs []State, fault *ChunkFault) {
+	myRng := p.workerRng(r.job.index)
+	site := SiteReexec
+	//statslint:allow hotalloc recovery path: reexec runs only on mispeculation or fault, off the steady state
+	fault = p.att.retry(r.job.index, -1, &site, myRng, func(n int) {
+		outs, final, origs = p.reexecOnce(r, trueFinal, myRng, n)
+	})
+	return outs, final, origs, fault
 }
 
 // reexecOnce recovers a mispeculated or faulted chunk (§III-E): it
@@ -254,11 +235,10 @@ func (p *Pipeline) reexecProtected(r *result, trueFinal State) ([]Output, State,
 // against. Recovery runs at the commit frontier, serializing the pipeline
 // for the chunk's length — that serialization is exactly the
 // mispeculation cost the paper's loss decomposition charges.
-func (p *Pipeline) reexecOnce(r *result, trueFinal State, attempt int) ([]Output, State, []State) {
+func (p *Pipeline) reexecOnce(r *result, trueFinal State, myRng *rng.Stream, attempt int) ([]Output, State, []State) {
 	t0 := time.Now()
-	prog := guardProgram(p.prog, p.pol.ChunkDeadline)
+	prog := guardProgram(p.prog, p.att.pol.ChunkDeadline)
 	j := r.job.index
-	myRng := p.workerRng(j)
 	jit := myRng.Derive("jitter")
 	g := NewGang(p.ex, fmt.Sprintf("%s-x%d", prog.Name(), j), p.cfg.InnerWidth, p.countThread) //statslint:allow hotalloc recovery path: gang naming runs only on reexec, off the steady state
 	defer g.Close(p.ex)

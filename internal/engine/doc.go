@@ -4,7 +4,7 @@
 // re-execution, and state recycling.
 //
 // Before this package existed the protocol was orchestrated three
-// separate ways — the batch loop in internal/core, the hand-rolled
+// separate ways — a standalone batch loop, the hand-rolled
 // assembler/worker/commit pipeline in internal/stream, and the simulated
 // timeline driven through internal/machine. The engine factors that into
 // one protocol layer driven through a pluggable Scheduler:
@@ -31,6 +31,6 @@
 // attribute the gap to linear speedup to the paper's six overhead
 // categories for streaming sessions too, not just simulated runs.
 //
-// internal/core and internal/stream remain as thin compatibility façades
-// over this package.
+// internal/stream remains as a thin compatibility façade over this
+// package.
 package engine

@@ -24,7 +24,8 @@ type Kind uint8
 
 const (
 	// EvSessionStart and EvSessionEnd bracket one scheduler run (a batch
-	// Run call or a streaming session).
+	// Run call or a streaming session). EvSessionStart's Start is the
+	// session's time origin (zero when timing is not collected).
 	EvSessionStart Kind = iota
 	EvSessionEnd
 	// EvIngest records N inputs accepted into the protocol.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"gostats/internal/rng"
@@ -109,6 +110,54 @@ func (f FaultPolicy) backoff(attempt int, parent *rng.Stream) time.Duration {
 	return d
 }
 
+// attempts is the chunk attempt loop every scheduler shares: the batch
+// worker's speculative and recovery phases, the pipeline worker's
+// speculation and the commit frontier's recovery re-execution all run
+// through retry. It carries the normalized policy, the event sink and the
+// fault/retry counters.
+type attempts struct {
+	pol     FaultPolicy     // normalized
+	ctx     context.Context // done: a backoff sleep ends early and the loop gives up
+	sink    Sink            // nil: events are dropped
+	faults  atomic.Int64    // faulted attempts
+	retries atomic.Int64    // re-attempts after backoff
+}
+
+// retry calls attempt(n) for n = 0, 1, … under runProtected until an
+// attempt completes, returning nil, or the retry budget or ctx runs out,
+// returning the last fault. *site is reset to its entry value before
+// each attempt, which advances it as it crosses protocol phases (the
+// caller owns site so it stays on the caller's stack). Each faulted
+// attempt emits EvFault and each re-attempt EvRetry, both attributed to
+// (chunk, worker); the backoff jitter derives from parent.
+func (a *attempts) retry(chunk, worker int, site *FaultSite, parent *rng.Stream, attempt func(n int)) *ChunkFault {
+	first := *site
+	for n := 0; ; n++ {
+		*site = first
+		fault := runProtected(chunk, n, site, func() { attempt(n) })
+		if fault == nil {
+			return nil
+		}
+		a.faults.Add(1)
+		a.emit(Event{Kind: EvFault, Chunk: chunk, Worker: worker, N: n, M: int(fault.Site)})
+		if n >= a.pol.MaxRetries {
+			return fault
+		}
+		d := a.pol.backoff(n, parent)
+		a.retries.Add(1)
+		a.emit(Event{Kind: EvRetry, Chunk: chunk, Worker: worker, N: n + 1, Dur: d})
+		if !sleepCtx(a.ctx, d) {
+			return fault
+		}
+	}
+}
+
+func (a *attempts) emit(e Event) {
+	if a.sink != nil {
+		a.sink.Event(e)
+	}
+}
+
 // FaultSite locates a fault within the chunk protocol.
 type FaultSite uint8
 
@@ -127,12 +176,6 @@ const (
 	// they exist for recovery only, never for injection.
 	SiteAssemble
 	SiteCommit
-	// SiteProc is an out-of-process chunk executor failing as a whole —
-	// the worker process died, hung past the deadline, or returned a
-	// reply that would not parse. The attempt is retried against a fresh
-	// process; after the budget the chunk degrades to the in-process
-	// path.
-	SiteProc
 
 	numSites
 )
@@ -144,7 +187,6 @@ var siteNames = [numSites]string{
 	SiteReexec:      "reexec",
 	SiteAssemble:    "assemble",
 	SiteCommit:      "commit",
-	SiteProc:        "proc",
 }
 
 // String returns the site's name.

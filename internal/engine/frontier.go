@@ -55,17 +55,25 @@ const (
 	valSpent
 )
 
+// verdict is one boundary validation's outcome: the match verdict, the
+// inspected count, the worker pool slot that computed it (-1 for the
+// commit stage's inline wave) and its wall-clock interval.
+type verdict struct {
+	ok     bool
+	n      int
+	worker int
+	start  time.Time
+	dur    time.Duration
+}
+
 // valSlot is one frontier slot. res is the published result for the
-// slot's chunk index this lap; the verdict fields are written between
-// the claim and the valDone store, and read only after observing
-// valDone (the atomic state transitions order them).
+// slot's chunk index this lap; the verdict is written between the claim
+// and the valDone store, and read only after observing valDone (the
+// atomic state transitions order them).
 type valSlot struct {
 	res   atomic.Pointer[result]
 	state atomic.Int32
-	ok    bool
-	n     int
-	start time.Time
-	dur   time.Duration
+	v     verdict
 	_     pad
 }
 
@@ -101,18 +109,18 @@ func (f *frontier) publish(r *result) { f.slot(r.job.index).res.Store(r) }
 // verdict if one exists, waits out a prevalidator that is mid-claim,
 // and in all cases leaves the slot spent so no new claim can begin.
 // have reports whether a verdict was recorded.
-func (f *frontier) settle(j int) (ok bool, n int, start time.Time, dur time.Duration, have bool) {
+func (f *frontier) settle(j int) (v verdict, have bool) {
 	sl := f.slot(j)
 	for {
 		if sl.state.CompareAndSwap(valIdle, valSpent) {
-			return false, 0, time.Time{}, 0, false
+			return verdict{}, false
 		}
 		switch sl.state.Load() {
 		case valDone:
 			sl.state.Store(valSpent)
-			return sl.ok, sl.n, sl.start, sl.dur, true
+			return sl.v, true
 		case valSpent:
-			return false, 0, time.Time{}, 0, false
+			return verdict{}, false
 		}
 		// valClaimed: the prevalidator is one bounded comparison away
 		// from valDone (or from bailing back to valIdle); yield to it.
@@ -150,12 +158,13 @@ func (f *frontier) clear(j int) {
 }
 
 // prevalidate opportunistically validates boundary (j-1 → j) on the
-// calling worker: if both results are published and healthy it claims
-// the slot, runs the fingerprint-gated comparison wave, and records the
-// verdict for the commit stage. It never blocks and never touches the
-// committed lineage; losing every race just means the frontier
-// validates inline as before.
-func (p *Pipeline) prevalidate(j int) {
+// calling worker (pool slot slotID): if both results are published and
+// healthy it claims the slot, runs the fingerprint-gated comparison
+// wave, and records the verdict for the commit stage — with slotID, so
+// the EvValidated it emits places the interval on this worker's thread.
+// It never blocks and never touches the committed lineage; losing every
+// race just means the frontier validates inline as before.
+func (p *Pipeline) prevalidate(j, slotID int) {
 	if j <= 0 {
 		return
 	}
@@ -180,6 +189,6 @@ func (p *Pipeline) prevalidate(j int) {
 	//statslint:allow detpath wall time feeds the EvValidated Start/Dur instrumentation only; the verdict and inspected count are pure functions of the states
 	t0 := time.Now()
 	ok, n := matchAnyWave(p.ex, p.prog, pred.origs, pred.origFPs, succ.spec, succ.specFP, succ.fpOK)
-	ssl.ok, ssl.n, ssl.start, ssl.dur = ok, n, t0, time.Since(t0) //statslint:allow detpath the recorded duration lands in the EvValidated event the commit stage emits; no protocol decision reads it
+	ssl.v = verdict{ok: ok, n: n, worker: slotID, start: t0, dur: time.Since(t0)} //statslint:allow detpath the recorded duration lands in the EvValidated event the commit stage emits; no protocol decision reads it
 	ssl.state.Store(valDone)
 }

@@ -109,11 +109,6 @@ type StreamConfig struct {
 	// of starting fresh; the snapshot's session shape overrides the fields
 	// above (checkpoint.go).
 	Resume *ResumeConfig
-	// Runner, when non-nil, executes chunks through an external executor
-	// (e.g. a pool of statsworker processes) instead of the in-process
-	// worker path; executor failures are retried as SiteProc faults and
-	// degrade back to the in-process path (checkpoint.go, worker.go).
-	Runner ChunkRunner
 }
 
 func (c StreamConfig) withDefaults() StreamConfig {
@@ -181,9 +176,9 @@ type StreamStats struct {
 	Reused  int64 // state clones served from retired buffers (StatePool)
 	Threads int64 // goroutine contexts spawned by the protocol
 
-	Faults   int64 // chunk faults isolated (panics, missed deadlines, dead worker processes)
+	Faults   int64 // chunk faults isolated (panics, missed deadlines)
 	Retries  int64 // faulted attempts retried after backoff
-	Degraded int64 // chunks degraded down the executor ladder (remote→local, speculative→sequential)
+	Degraded int64 // chunks degraded to sequential re-execution
 
 	Checkpoints int64 // commit-frontier snapshots emitted
 
@@ -241,8 +236,8 @@ type Pipeline struct {
 	ctx    context.Context // derived: canceled by the caller, a fault, or teardown
 	outer  context.Context // the caller's context, for abandonment reporting
 	cancel context.CancelFunc
-	inj    Injector    // prog's fault injector, if it carries one
-	pol    FaultPolicy // normalized fault policy
+	inj    Injector // prog's fault injector, if it carries one
+	att    attempts // normalized fault policy and the chunk attempt loop
 
 	// The intra-pipeline hops are lock-free rings (internal/ring), not
 	// channels: ingest and the outcome window are single-producer
@@ -290,8 +285,6 @@ type Pipeline struct {
 	resizes  atomic.Int64 // mirror of ctl.Resizes (ctl is assembler-owned)
 	states   atomic.Int64
 	threads  atomic.Int64
-	faults   atomic.Int64
-	retries  atomic.Int64
 	degraded atomic.Int64
 }
 
@@ -353,7 +346,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		ctx:    ctx,
 		outer:  outer,
 		cancel: cancel,
-		pol:    cfg.Fault.normalized(),
+		att:    attempts{pol: cfg.Fault.normalized(), ctx: ctx},
 		in:     ring.NewSPSC[Input](cfg.QueueDepth),
 		// jobs is kept at the ring minimum (2): chunks in flight are
 		// bounded by the outcome window below, not by this hop, and a
@@ -377,6 +370,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		sink:     combineSinks(cfg.Metrics, cfg.Sink),
 		pool:     NewStatePool(prog),
 	}
+	p.att.sink = p.sink
 	p.inj, _ = prog.(Injector)
 	p.fper, _ = prog.(Fingerprinter)
 	p.slabs.limit = 2*cfg.Workers + 4
@@ -406,7 +400,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		}
 		p.ckpt = t
 	}
-	p.emit(Event{Kind: EvSessionStart, Chunk: -1, Worker: -1, N: cfg.ChunkSize})
+	p.emit(Event{Kind: EvSessionStart, Chunk: -1, Worker: -1, N: cfg.ChunkSize, Start: time.Now()})
 
 	// down: the assembler's park signal — closed on context teardown or
 	// Halt, whichever comes first.
@@ -565,8 +559,8 @@ func (p *Pipeline) StatsSnapshot() StreamStats {
 		Reused:  p.pool.Stats().Reused,
 		Threads: p.threads.Load(),
 
-		Faults:   p.faults.Load(),
-		Retries:  p.retries.Load(),
+		Faults:   p.att.faults.Load(),
+		Retries:  p.att.retries.Load(),
 		Degraded: p.degraded.Load(),
 
 		Checkpoints: p.checkpoints.Load(),

@@ -12,10 +12,11 @@ import (
 // giving native (wall-clock) sessions the same post-mortem critical-path
 // analysis the simulator's cycle-exact traces get. Thread 0 is the commit
 // frontier (events with Worker == -1); worker pool slot w maps to thread
-// w+1. Interval categories follow the paper's overhead taxonomy: the
+// w+1, including the boundary validations that worker prevalidated.
+// Interval categories follow the paper's overhead taxonomy: the
 // alternative producer, published state copies, chunk bodies,
-// original-state generation, validation comparisons, recovery re-execution
-// and output emission each land in their §III category.
+// original-state generation, validation comparisons, recovery
+// re-execution and output emission each land in their §III category.
 //
 // A Recorder is an opt-in Sink: attach it via StreamConfig.Sink (or a
 // scheduler's Sink) only when attribution is wanted — it takes a mutex per
@@ -45,11 +46,15 @@ func NewRecorder() *Recorder {
 // recThread maps an event's worker slot to a trace thread.
 func recThread(worker int) int { return worker + 1 }
 
-// Event implements Sink.
+// Event implements Sink. The time origin is the session start: the
+// schedulers stamp EvSessionStart before any stage or worker runs, so
+// every timed event of the session lands at a non-negative offset even
+// when a slower goroutine delivers an earlier-starting interval late. A
+// Recorder attached mid-session falls back to its first timed event.
 func (r *Recorder) Event(e Event) {
 	if e.Start.IsZero() {
 		// Untimed protocol events (chunk dispatch, commit/abort verdicts,
-		// snapshots, session markers) carry no interval.
+		// snapshots, the session end) carry no interval.
 		return
 	}
 	r.mu.Lock()

@@ -1,11 +1,10 @@
 package engine
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"time"
 
+	"gostats/internal/rng"
 	"gostats/internal/trace"
 )
 
@@ -28,8 +27,8 @@ func (p *Pipeline) worker(slotID int) {
 		// happens-before the results push, so the commit stage always
 		// finds the slot occupied when it applies this chunk.
 		p.fr.publish(res)
-		p.prevalidate(jb.index)
-		p.prevalidate(jb.index + 1)
+		p.prevalidate(jb.index, slotID)
+		p.prevalidate(jb.index+1, slotID)
 		if err := p.results.Push(p.ctx.Done(), res); err != nil {
 			return
 		}
@@ -41,110 +40,25 @@ func (p *Pipeline) worker(slotID int) {
 // chunk fault, retried with backoff up to the policy's budget. A
 // successful attempt re-derives exactly the RNG substreams the first one
 // did, so its result is byte-identical no matter how many faulted
-// attempts preceded it. When the budget exhausts, the returned result
+// attempts preceded it. A faulted attempt's states are scrapped before
+// the next one starts. When the budget exhausts, the returned result
 // carries only the fault; the commit frontier degrades the chunk to
 // sequential re-execution from the last committed state.
 func (p *Pipeline) speculate(jb *job, slotID int) *result {
-	if p.cfg.Runner != nil {
-		if res, done := p.speculateRemote(jb, slotID); done {
-			return res
-		}
-		// The external executor exhausted its budget; the chunk degrades
-		// to the in-process path below — identical bytes either way.
-	}
-	j := jb.index
-	for attempt := 0; ; attempt++ {
-		res, fault := p.attemptSpeculate(jb, slotID, attempt)
-		if fault == nil {
-			return res
-		}
-		p.faults.Add(1)
-		p.emit(Event{Kind: EvFault, Chunk: j, Worker: slotID, N: attempt, M: int(fault.Site)})
-		p.scrap(res)
-		if attempt >= p.pol.MaxRetries {
-			return &result{job: jb, fault: fault}
-		}
-		d := p.pol.backoff(attempt, p.workerRng(j))
-		p.retries.Add(1)
-		p.emit(Event{Kind: EvRetry, Chunk: j, Worker: slotID, N: attempt + 1, Dur: d})
-		if !sleepCtx(p.ctx, d) {
-			return &result{job: jb, fault: fault}
-		}
-	}
-}
-
-// speculateRemote runs the chunk through the configured external executor
-// (an out-of-process worker pool). Executor failures — a dead or wedged
-// worker process, a reply that would not parse — surface as retryable
-// SiteProc faults with the same backoff discipline as in-process panics;
-// a successful attempt re-derives the same RNG substreams in the worker
-// process, so its reply is byte-identical no matter how many dead
-// processes preceded it. done=false means the retry budget is exhausted
-// and the caller should degrade to the in-process path.
-func (p *Pipeline) speculateRemote(jb *job, slotID int) (*result, bool) {
-	j := jb.index
-	for attempt := 0; ; attempt++ {
-		ctx, cancel := p.ctx, context.CancelFunc(func() {})
-		if p.pol.ChunkDeadline > 0 {
-			ctx, cancel = context.WithTimeout(p.ctx, p.pol.ChunkDeadline)
-		}
-		t0 := time.Now()
-		reply, err := p.cfg.Runner.RunChunk(ctx, ChunkRequest{
-			Chunk: j, Attempt: attempt, Window: jb.prevWindow, Inputs: jb.inputs})
-		cancel()
-		if err == nil && reply != nil {
-			res := &result{job: jb, spec: reply.Spec, outs: reply.Outs,
-				final: reply.Final, origs: reply.Origs}
-			if p.fper != nil {
-				if res.spec != nil {
-					res.specFP = p.fper.Fingerprint(res.spec)
-					res.fpOK = true
-				}
-				res.origFPs = make([]uint64, len(res.origs))
-				for i, o := range res.origs {
-					res.origFPs[i] = p.fper.Fingerprint(o)
-				}
-			}
-			p.emit(Event{Kind: EvSpeculated, Chunk: j, Worker: slotID,
-				N: len(jb.inputs), Start: t0, Dur: time.Since(t0)})
-			return res, true
-		}
-		if p.ctx.Err() != nil {
-			// The run is being torn down; report the chunk as faulted so
-			// the frontier never sees half-filled remote state.
-			return &result{job: jb, fault: &ChunkFault{Chunk: j, Site: SiteProc, Attempt: attempt}}, true
-		}
-		fault := &ChunkFault{Chunk: j, Site: SiteProc, Attempt: attempt,
-			Deadline: errors.Is(err, context.DeadlineExceeded), Panic: err}
-		p.faults.Add(1)
-		p.emit(Event{Kind: EvFault, Chunk: j, Worker: slotID, N: attempt, M: int(SiteProc)})
-		if attempt >= p.pol.MaxRetries {
-			// Out of remote attempts: degrade to in-process execution
-			// rather than to the frontier — the chunk is still healthy,
-			// only its executor is gone.
-			p.degraded.Add(1)
-			p.emit(Event{Kind: EvDegraded, Chunk: j, Worker: slotID, N: attempt})
-			return nil, false
-		}
-		d := p.pol.backoff(attempt, p.workerRng(j))
-		p.retries.Add(1)
-		p.emit(Event{Kind: EvRetry, Chunk: j, Worker: slotID, N: attempt + 1, Dur: d})
-		if !sleepCtx(p.ctx, d) {
-			return &result{job: jb, fault: fault}, true
-		}
-	}
-}
-
-// attemptSpeculate runs one protected execution attempt of the
-// worker-side protocol. The returned result is partially filled when the
-// attempt faulted; the caller scraps it.
-func (p *Pipeline) attemptSpeculate(jb *job, slotID, attempt int) (*result, *ChunkFault) {
 	res := &result{job: jb}
+	myRng := p.workerRng(jb.index)
 	site := SiteAltProducer
-	fault := runProtected(jb.index, attempt, &site, func() {
-		p.speculateOnce(res, slotID, attempt, &site)
+	fault := p.att.retry(jb.index, slotID, &site, myRng, func(n int) {
+		if n > 0 {
+			p.scrap(res)
+		}
+		p.speculateOnce(res, slotID, n, myRng, &site)
 	})
-	return res, fault
+	if fault != nil {
+		p.scrap(res)
+		res.fault = fault
+	}
+	return res
 }
 
 // scrap retires the states a faulted attempt materialized before it
@@ -182,12 +96,11 @@ func (p *Pipeline) scrap(res *result) {
 //
 // site tracks which protocol phase is executing so a fault is attributed
 // to the right place; the injector (if any) is consulted at each phase.
-func (p *Pipeline) speculateOnce(res *result, slotID, attempt int, site *FaultSite) {
+func (p *Pipeline) speculateOnce(res *result, slotID, attempt int, myRng *rng.Stream, site *FaultSite) {
 	t0 := time.Now()
-	prog := guardProgram(p.prog, p.pol.ChunkDeadline)
+	prog := guardProgram(p.prog, p.att.pol.ChunkDeadline)
 	jb := res.job
 	j := jb.index
-	myRng := p.workerRng(j)
 	jit := myRng.Derive("jitter")
 	g := NewGang(p.ex, fmt.Sprintf("%s-w%d", prog.Name(), j), p.cfg.InnerWidth, p.countThread)
 	defer g.Close(p.ex)

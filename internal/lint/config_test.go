@@ -15,7 +15,6 @@ func TestDefaultConfigCoversDeterminismCriticalPackages(t *testing.T) {
 		"gostats/internal/cluster",
 		"gostats/internal/workload",
 		"gostats/internal/checkpoint",
-		"gostats/internal/procexec",
 		"gostats/internal/bench/dedupstream", // prefix match via internal/bench
 	} {
 		if !cfg.IsCritical(pkg) {

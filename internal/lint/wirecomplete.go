@@ -11,11 +11,10 @@ import (
 // carried by its wire codec: reachable from the encode path AND
 // rebuilt on the decode path, or annotated with a reasoned allow. The
 // checkpoint layer serializes committed state exclusively through
-// WireCodec.EncodeState/DecodeState (engine/checkpoint.go, procexec),
-// so a field the codec silently drops is a field that is wrong after
-// every resume and every out-of-process chunk — and the byte-identity
-// tests only catch it if some benchmark input happens to make the
-// dropped field observable.
+// WireCodec.EncodeState/DecodeState (engine/checkpoint.go), so a field
+// the codec silently drops is a field that is wrong after every resume
+// and every migration — and the byte-identity tests only catch it if
+// some benchmark input happens to make the dropped field observable.
 //
 // Root conventions (how a package declares its state struct S):
 //

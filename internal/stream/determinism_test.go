@@ -7,14 +7,14 @@ import (
 
 	"gostats/internal/bench"
 	_ "gostats/internal/bench/all"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/rng"
 	"gostats/internal/stream"
 )
 
 // encodeRun streams inputs through a fresh pipeline and returns the
 // committed outputs in the benchmark's wire encoding, one line each.
-func encodeRun(t *testing.T, name string, cfg stream.Config, inputs []core.Input) []byte {
+func encodeRun(t *testing.T, name string, cfg stream.Config, inputs []engine.Input) []byte {
 	t.Helper()
 	prog, err := bench.New(name)
 	if err != nil {

@@ -8,13 +8,13 @@ import (
 	"time"
 
 	"gostats/internal/bench/facetrack"
-	"gostats/internal/core"
+	"gostats/internal/engine"
 	"gostats/internal/machine"
 	"gostats/internal/rng"
 	"gostats/internal/stream"
 )
 
-// toyProg mirrors the core tests' minimal short-memory program:
+// toyProg mirrors the engine tests' minimal short-memory program:
 // v' = decay*v + in + noise, with a configurable Match tolerance.
 type toyProg struct {
 	decay, noise, tol float64
@@ -26,23 +26,23 @@ type toyState struct {
 	n int
 }
 
-func (p *toyProg) Name() string                     { return "toy" }
-func (p *toyProg) Initial(r *rng.Stream) core.State { return &toyState{v: 100} }
-func (p *toyProg) Fresh(r *rng.Stream) core.State   { return &toyState{} }
+func (p *toyProg) Name() string                       { return "toy" }
+func (p *toyProg) Initial(r *rng.Stream) engine.State { return &toyState{v: 100} }
+func (p *toyProg) Fresh(r *rng.Stream) engine.State   { return &toyState{} }
 
-func (p *toyProg) Update(s core.State, in core.Input, r *rng.Stream) (core.State, core.Output) {
+func (p *toyProg) Update(s engine.State, in engine.Input, r *rng.Stream) (engine.State, engine.Output) {
 	st := s.(*toyState)
 	st.v = p.decay*st.v + in.(float64) + p.noise*(2*r.Float64()-1)
 	st.n++
 	return st, st.v
 }
 
-func (p *toyProg) Clone(s core.State) core.State {
+func (p *toyProg) Clone(s engine.State) engine.State {
 	c := *s.(*toyState)
 	return &c
 }
 
-func (p *toyProg) Match(a, b core.State) bool {
+func (p *toyProg) Match(a, b engine.State) bool {
 	if p.neverMatch {
 		return false
 	}
@@ -50,8 +50,8 @@ func (p *toyProg) Match(a, b core.State) bool {
 }
 
 func (p *toyProg) StateBytes() int64 { return 16 }
-func (p *toyProg) UpdateCost(core.Input, core.State) core.UpdateWork {
-	return core.UpdateWork{Grain: 1}
+func (p *toyProg) UpdateCost(engine.Input, engine.State) engine.UpdateWork {
+	return engine.UpdateWork{Grain: 1}
 }
 func (p *toyProg) CompareCost() machine.Work     { return machine.Work{} }
 func (p *toyProg) SetupWork(int) machine.Work    { return machine.Work{} }
@@ -59,8 +59,8 @@ func (p *toyProg) TeardownWork(int) machine.Work { return machine.Work{} }
 func (p *toyProg) PreRegionWork() machine.Work   { return machine.Work{} }
 func (p *toyProg) PostRegionWork() machine.Work  { return machine.Work{} }
 
-func toyInputs(n int) []core.Input {
-	ins := make([]core.Input, n)
+func toyInputs(n int) []engine.Input {
+	ins := make([]engine.Input, n)
 	for i := range ins {
 		ins[i] = float64(i%7) + 1
 	}
@@ -69,7 +69,7 @@ func toyInputs(n int) []core.Input {
 
 // collect pushes every input, closes the pipeline, and gathers the
 // committed output sequence.
-func collect(t *testing.T, ctx context.Context, p *stream.Pipeline, inputs []core.Input) ([]core.Output, stream.Stats) {
+func collect(t *testing.T, ctx context.Context, p *stream.Pipeline, inputs []engine.Input) ([]engine.Output, stream.Stats) {
 	t.Helper()
 	pushErr := make(chan error, 1)
 	go func() {
@@ -82,7 +82,7 @@ func collect(t *testing.T, ctx context.Context, p *stream.Pipeline, inputs []cor
 		}
 		pushErr <- nil
 	}()
-	var outs []core.Output
+	var outs []engine.Output
 	for out := range p.Outputs() {
 		outs = append(outs, out)
 	}
@@ -97,7 +97,7 @@ func collect(t *testing.T, ctx context.Context, p *stream.Pipeline, inputs []cor
 }
 
 // TestStreamMatchesBatchRun is the pipeline's semantic anchor: with chunk
-// boundaries matching core.Run's partition, the streaming committed
+// boundaries matching engine.Run's partition, the streaming committed
 // output sequence is IDENTICAL to the batch runtime's, for a real
 // benchmark with real nondeterminism and occasional mispeculation.
 func TestStreamMatchesBatchRun(t *testing.T) {
@@ -107,7 +107,7 @@ func TestStreamMatchesBatchRun(t *testing.T) {
 	inputs := ft.Inputs(rng.New(7))
 
 	const chunkSize, seed = 20, 11
-	batch, err := core.Run(core.NewNativeExec(), ft, inputs, core.Config{
+	batch, err := engine.Run(engine.NewNativeExec(), ft, inputs, engine.Config{
 		Chunks: len(inputs) / chunkSize, Lookback: 6, ExtraStates: 1, InnerWidth: 1, Seed: seed,
 	})
 	if err != nil {
@@ -146,7 +146,7 @@ func TestStreamMatchesBatchRun(t *testing.T) {
 func TestAbortsRecoverInOrder(t *testing.T) {
 	prog := &toyProg{decay: 0.9, neverMatch: true}
 	inputs := toyInputs(100)
-	seq := core.RunSequential(core.NewNativeExec(), prog, inputs, 5)
+	seq := engine.RunSequential(engine.NewNativeExec(), prog, inputs, 5)
 
 	ctx := context.Background()
 	p, err := stream.New(ctx, prog, stream.Config{
@@ -177,7 +177,7 @@ func TestAbortsRecoverInOrder(t *testing.T) {
 func TestAdaptiveGrowsChunksUnderAborts(t *testing.T) {
 	prog := &toyProg{decay: 0.9, neverMatch: true}
 	inputs := toyInputs(300)
-	seq := core.RunSequential(core.NewNativeExec(), prog, inputs, 5)
+	seq := engine.RunSequential(engine.NewNativeExec(), prog, inputs, 5)
 
 	ctx := context.Background()
 	p, err := stream.New(ctx, prog, stream.Config{
