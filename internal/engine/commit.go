@@ -12,15 +12,11 @@ import (
 // committed is the commit frontier's view of the last committed chunk:
 // the lineage state the next chunk is validated against and, on
 // mispeculation, recovered from. origFPs caches the original states'
-// fingerprint lanes for the next boundary's comparison wave; spec
-// records whether the lineage is the chunk's speculative result (only
-// then may a prevalidated verdict — computed against exactly those
-// original states — be consumed).
+// fingerprint lanes for the next boundary's comparison wave.
 type committed struct {
 	final   State
 	origs   []State
 	origFPs []uint64
-	spec    bool
 }
 
 // commit is the ordered commit stage: it reorders worker results into
@@ -45,20 +41,14 @@ func (p *Pipeline) commit() {
 	var prevInputs []Input // committed predecessor's chunk inputs
 	if rs := p.resume; rs != nil {
 		// Resume at the snapshot frontier: the decoded lineage stands in
-		// for the last committed chunk's result. spec stays false — no
-		// recorded verdict can refer to restored states — so the first
-		// boundary is validated by the inline wave, against the exact
-		// states the uninterrupted session would have held.
+		// for the last committed chunk's result, so the first boundary is
+		// validated against the exact states the uninterrupted session
+		// would have held.
 		next = rs.next
 		if len(rs.lineage) > 0 {
 			prev.final = rs.lineage[0]
 			prev.origs = rs.lineage
-			if p.fper != nil {
-				prev.origFPs = make([]uint64, len(rs.lineage))
-				for i, s := range rs.lineage {
-					prev.origFPs[i] = p.fper.Fingerprint(s)
-				}
-			}
+			prev.origFPs = p.fingerprints(rs.lineage)
 		}
 	}
 	for {
@@ -96,34 +86,24 @@ func (p *Pipeline) commit() {
 }
 
 // applyCommit validates, commits or recovers one chunk at the frontier
-// and emits its outputs. Validation prefers a verdict prevalidated on a
-// worker (frontier.go); when none is usable it runs the comparison wave
-// inline, with the fingerprint lanes the worker cached. A result whose
-// worker exhausted its retry budget is degraded here: the chunk abandons
-// its (dead) speculation and re-executes sequentially from the last
-// committed state, exactly like a mispeculation abort. applyCommit
-// returns false if the context was canceled or the session failed
-// terminally.
+// and emits its outputs. It is the pipeline's only validation site, as
+// in the batch scheduler: boundary j is checked once, in input order,
+// after chunk j-1 has committed, by a comparison wave over the
+// fingerprint lanes the workers cached. A result whose worker exhausted
+// its retry budget is degraded here: the chunk abandons its (dead)
+// speculation and re-executes sequentially from the last committed
+// state, exactly like a mispeculation abort. applyCommit returns false
+// if the context was canceled or the session failed terminally.
 func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 	j := r.job.index
 	ok := r.fault == nil
 	if j > 0 {
-		// Settle the boundary's validation slot first: after this no
-		// prevalidator can be reading prev's replicas or r's spec.
-		v, have := p.fr.settle(j)
-		if r.fault == nil {
-			if !have || !prev.spec {
-				// No usable verdict: validate inline. (A recorded one was
-				// computed against exactly the states this wave would
-				// use only when prev is its speculative lineage.)
-				//statslint:allow detpath wall time feeds the EvValidated Start/Dur instrumentation only; the verdict and inspected count are pure functions of the states
-				t0 := time.Now()
-				v.ok, v.n = matchAnyWave(p.ex, p.prog, prev.origs, prev.origFPs, r.spec, r.specFP, r.fpOK)
-				v.worker, v.start, v.dur = -1, t0, time.Since(t0) //statslint:allow detpath the duration lands in the EvValidated event below; no protocol decision reads it
-			}
-			ok = v.ok
-			p.emit(Event{Kind: EvValidated, Chunk: j, Worker: v.worker,
-				N: v.n, Matched: v.ok, Start: v.start, Dur: v.dur})
+		if ok {
+			t0 := time.Now()
+			var n int
+			ok, n = matchAnyWave(p.ex, p.prog, prev.origs, prev.origFPs, r.spec, r.specFP, r.fpOK)
+			p.emit(Event{Kind: EvValidated, Chunk: j, Worker: -1,
+				N: n, Matched: ok, Start: t0, Dur: time.Since(t0)})
 		}
 		// The boundary is resolved either way: the predecessor's replica
 		// originals and this chunk's published speculative copy are dead.
@@ -132,8 +112,7 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 		p.pool.ReleaseReplicas(prev.origs)
 		p.pool.Release(r.spec)
 	}
-	outs, final, origs := r.outs, r.final, r.origs
-	origFPs, specLineage := r.origFPs, true
+	outs, final, origs, origFPs := r.outs, r.final, r.origs, r.origFPs
 	if !ok {
 		p.aborts.Add(1)
 		if r.fault != nil {
@@ -142,11 +121,7 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 		}
 		p.emit(Event{Kind: EvAborted, Chunk: j, Worker: -1})
 		// The speculative run's states — its final (origs[0]) and its
-		// replicas — are dead. Spend the successor's validation slot
-		// before retiring them: a prevalidator may be mid-comparison
-		// against these very states, and once the slot is spent no new
-		// claim can reach them. (Faulted results carry none.)
-		p.fr.quiesce(j + 1)
+		// replicas — are dead. (Faulted results carry none.)
 		for _, o := range r.origs {
 			p.pool.Release(o)
 		}
@@ -156,29 +131,15 @@ func (p *Pipeline) applyCommit(r *result, prev *committed) bool {
 			p.fail(&FaultError{Fault: fault}) //statslint:allow hotalloc fault path: boxes the terminal fault at most once per session
 			return false
 		}
-		// The recovered lineage is not the one any recorded verdict was
-		// computed against; refresh the fingerprint cache for the next
-		// boundary's inline wave.
-		specLineage = false
-		origFPs = nil
-		if p.fper != nil {
-			origFPs = make([]uint64, len(origs))
-			for i, o := range origs {
-				origFPs[i] = p.fper.Fingerprint(o)
-			}
-		}
+		// Refresh the fingerprint cache for the recovered lineage the
+		// next boundary's wave compares against.
+		origFPs = p.fingerprints(origs)
 	} else {
 		p.commits.Add(1)
 		p.emit(Event{Kind: EvCommitted, Chunk: j, Worker: -1})
 	}
-	if j > 0 {
-		// Slot j-1 has served as boundary j's predecessor for the last
-		// time; reset it for its next lap.
-		p.fr.clear(j - 1)
-	}
 	oldFinal := prev.final
-	prev.final, prev.origs = final, origs
-	prev.origFPs, prev.spec = origFPs, specLineage
+	prev.final, prev.origs, prev.origFPs = final, origs, origFPs
 	// The old frontier state has served as recovery base for the last
 	// time; retire it. (nil at chunk 0 — Release is nil-tolerant.)
 	p.pool.Release(oldFinal)

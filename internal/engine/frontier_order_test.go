@@ -11,20 +11,26 @@ import (
 	"gostats/internal/rng"
 )
 
-// orderSink records, in arrival order, the chunk index of every commit
-// decision and output emission. All decision events come from the single
+// orderSink records, in arrival order, the chunk index of every boundary
+// validation, commit decision and output emission, and the worker each
+// validation was charged to. All decision events come from the single
 // commit-stage goroutine, but other event kinds arrive concurrently from
 // workers, so the sink locks.
 type orderSink struct {
-	mu        sync.Mutex
-	decisions []int // EvCommitted / EvAborted
-	outputs   []int // EvOutputs
+	mu         sync.Mutex
+	validated  []int // EvValidated
+	validators []int // EvValidated's Worker
+	decisions  []int // EvCommitted / EvAborted
+	outputs    []int // EvOutputs
 }
 
 func (s *orderSink) Event(e engine.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch e.Kind {
+	case engine.EvValidated:
+		s.validated = append(s.validated, e.Chunk)
+		s.validators = append(s.validators, e.Worker)
 	case engine.EvCommitted, engine.EvAborted:
 		s.decisions = append(s.decisions, e.Chunk)
 	case engine.EvOutputs:
@@ -32,13 +38,14 @@ func (s *orderSink) Event(e engine.Event) {
 	}
 }
 
-// TestFrontierCommitOrder is the sharded frontier's end-to-end ordering
-// property: however boundary validations race on the workers — which
-// prevalidations win, lose, or bail is scheduling-dependent by design —
-// the commit/abort decisions and the output emissions are applied in
-// strict input order, exactly one decision per chunk, and the committed
-// byte sequence matches the sequential batch reference. Run under -race
-// this doubles as a concurrency check on the publish/claim/settle paths.
+// TestFrontierCommitOrder is the commit frontier's end-to-end ordering
+// property: however the workers' results arrive, every boundary
+// j = 1..Chunks-1 is validated exactly once, in input order, by the
+// commit stage (Worker -1); the commit/abort decisions and the output
+// emissions are applied in strict input order, exactly one decision per
+// chunk; and the committed byte sequence matches the sequential batch
+// reference. Run under -race this doubles as a concurrency check on the
+// worker → commit-stage hand-off.
 func TestFrontierCommitOrder(t *testing.T) {
 	for _, name := range []string{"facetrack", "streamclassifier"} {
 		for _, workers := range []int{2, 3, 5} {
@@ -65,6 +72,16 @@ func TestFrontierCommitOrder(t *testing.T) {
 						t.Fatalf("stream (workers=%d seed=%d): %v", workers, seed, err)
 					}
 
+					if len(sink.validated) != cfg.Chunks-1 {
+						t.Fatalf("workers=%d seed=%d: %d validation events, want %d",
+							workers, seed, len(sink.validated), cfg.Chunks-1)
+					}
+					for i, c := range sink.validated {
+						if c != i+1 || sink.validators[i] != -1 {
+							t.Fatalf("workers=%d seed=%d: validation %d was boundary %d on worker %d, want boundary %d on the commit stage (-1)",
+								workers, seed, i, c, sink.validators[i], i+1)
+						}
+					}
 					for _, seq := range []struct {
 						what string
 						got  []int

@@ -75,9 +75,6 @@ type StreamConfig struct {
 	// Workers is the worker-pool size and the speculation window: at most
 	// Workers chunks are in flight past the commit frontier. Default 4.
 	Workers int
-	// QueueDepth bounds the ingest queue (and output buffer). Default
-	// 2*ChunkSize.
-	QueueDepth int
 	// Seed selects one nondeterministic execution, exactly as in Config.
 	Seed uint64
 	// Adapt enables online chunk-size retuning from commit/abort feedback.
@@ -118,9 +115,6 @@ func (c StreamConfig) withDefaults() StreamConfig {
 	if c.Workers == 0 {
 		c.Workers = 4
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 2 * c.ChunkSize
-	}
 	if c.MinChunk == 0 {
 		c.MinChunk = max(1, c.ChunkSize/4)
 	}
@@ -144,8 +138,8 @@ func (c StreamConfig) Validate() error {
 	if c.ExtraStates < 0 {
 		return fmt.Errorf("stream: ExtraStates must be >= 0, got %d", c.ExtraStates)
 	}
-	if c.InnerWidth < 0 || c.Workers < 0 || c.QueueDepth < 0 {
-		return fmt.Errorf("stream: negative InnerWidth/Workers/QueueDepth")
+	if c.InnerWidth < 0 || c.Workers < 0 {
+		return fmt.Errorf("stream: negative InnerWidth/Workers")
 	}
 	if c.MinChunk < 0 || (c.MaxChunk > 0 && c.MaxChunk < c.MinChunk) {
 		return fmt.Errorf("stream: bad adaptive bounds [%d,%d]", c.MinChunk, c.MaxChunk)
@@ -215,10 +209,10 @@ type result struct {
 
 	// Fingerprint caches for the validation wave, computed worker-side
 	// when the program implements Fingerprinter: the lanes of spec and of
-	// each original state. They let boundary validation — prevalidated on
-	// a worker or applied inline at the frontier — compare digests without
-	// recomputing them, and they are pure functions of the states, so the
-	// validation result and inspected count are unchanged.
+	// each original state. They let the commit stage's boundary validation
+	// compare digests without recomputing them on the commit thread, and
+	// they are pure functions of the states, so the validation result and
+	// inspected count are unchanged.
 	specFP  uint64
 	origFPs []uint64
 	fpOK    bool
@@ -250,7 +244,6 @@ type Pipeline struct {
 	results  *ring.MPMC[*result]
 	outcomes *ring.SPSC[bool]
 	out      chan Output
-	fr       *frontier
 	fper     Fingerprinter // prog's Fingerprinter extension, if any
 
 	ctl      *autotune.Online
@@ -319,6 +312,8 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 	// stages down itself, not only the caller.
 	outer := ctx
 	ctx, cancel := context.WithCancel(outer)
+	// The ingest queue and the output buffer each hold two chunks.
+	depth := 2 * cfg.ChunkSize
 
 	var ctl *autotune.Online
 	if cfg.Adapt {
@@ -347,7 +342,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		outer:  outer,
 		cancel: cancel,
 		att:    attempts{pol: cfg.Fault.normalized(), ctx: ctx},
-		in:     ring.NewSPSC[Input](cfg.QueueDepth),
+		in:     ring.NewSPSC[Input](depth),
 		// jobs is kept at the ring minimum (2): chunks in flight are
 		// bounded by the outcome window below, not by this hop, and a
 		// small ring keeps the assembler at most one chunk ahead of the
@@ -363,8 +358,7 @@ func NewStream(ctx context.Context, prog Program, cfg StreamConfig) (*Pipeline, 
 		// Capacity Workers+2 exceeds the maximum unconsumed backlog, so
 		// the commit stage never parks here.
 		outcomes: ring.NewSPSC[bool](cfg.Workers + 2),
-		out:      make(chan Output, cfg.QueueDepth),
-		fr:       newFrontier(cfg.Workers),
+		out:      make(chan Output, depth),
 		ctl:      ctl,
 		met:      cfg.Metrics,
 		sink:     combineSinks(cfg.Metrics, cfg.Sink),
@@ -565,6 +559,19 @@ func (p *Pipeline) StatsSnapshot() StreamStats {
 
 		Checkpoints: p.checkpoints.Load(),
 	}
+}
+
+// fingerprints returns the fingerprint lanes of states, or nil when the
+// program has no Fingerprinter.
+func (p *Pipeline) fingerprints(states []State) []uint64 {
+	if p.fper == nil {
+		return nil
+	}
+	fps := make([]uint64, len(states))
+	for i, s := range states {
+		fps[i] = p.fper.Fingerprint(s)
+	}
+	return fps
 }
 
 func (p *Pipeline) countState()  { p.states.Add(1) }

@@ -11,8 +11,8 @@ import (
 // Recorder folds the engine's canonical event stream into a trace.Trace,
 // giving native (wall-clock) sessions the same post-mortem critical-path
 // analysis the simulator's cycle-exact traces get. Thread 0 is the commit
-// frontier (events with Worker == -1); worker pool slot w maps to thread
-// w+1, including the boundary validations that worker prevalidated.
+// frontier (events with Worker == -1), where a pipeline validates every
+// chunk boundary; worker pool slot w maps to thread w+1.
 // Interval categories follow the paper's overhead taxonomy: the
 // alternative producer, published state copies, chunk bodies,
 // original-state generation, validation comparisons, recovery

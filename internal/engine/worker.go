@@ -20,15 +20,6 @@ func (p *Pipeline) worker(slotID int) {
 			return
 		}
 		res := p.speculate(jb, slotID)
-		// Publish the result to the commit frontier's validation slots,
-		// then try to validate the boundaries it completes — with its
-		// predecessor and, if the successor already ran, with that — on
-		// this worker, off the commit stage's critical path. Publish
-		// happens-before the results push, so the commit stage always
-		// finds the slot occupied when it applies this chunk.
-		p.fr.publish(res)
-		p.prevalidate(jb.index, slotID)
-		p.prevalidate(jb.index+1, slotID)
 		if err := p.results.Push(p.ctx.Done(), res); err != nil {
 			return
 		}
@@ -156,18 +147,12 @@ func (p *Pipeline) speculateOnce(res *result, slotID, attempt int, myRng *rng.St
 	p.pool.Release(snapshot)
 
 	// Cache the validation wave's fingerprint lanes while the states are
-	// hot in cache: the boundary comparisons (prevalidated on a worker or
-	// run inline at the frontier) reuse them instead of recomputing.
-	if p.fper != nil {
-		if res.spec != nil {
-			res.specFP = p.fper.Fingerprint(res.spec)
-			res.fpOK = true
-		}
-		res.origFPs = make([]uint64, len(res.origs))
-		for i, o := range res.origs {
-			res.origFPs[i] = p.fper.Fingerprint(o)
-		}
+	// hot in cache: the commit stage's boundary comparisons reuse them
+	// instead of recomputing digests on the commit thread.
+	if p.fper != nil && res.spec != nil {
+		res.specFP, res.fpOK = p.fper.Fingerprint(res.spec), true
 	}
+	res.origFPs = p.fingerprints(res.origs)
 
 	p.emit(Event{Kind: EvSpeculated, Chunk: j, Worker: slotID,
 		N: len(jb.inputs), Start: t0, Dur: time.Since(t0)})

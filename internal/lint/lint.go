@@ -107,8 +107,8 @@ type Config struct {
 
 	// HotPathFiles maps an import path to base filenames within it whose
 	// functions are hot — for packages where only some files carry the
-	// per-input pipeline (engine's frontier/commit/assemble vs. its
-	// setup and recovery code). Individual functions elsewhere opt in
+	// per-input pipeline (engine's commit/assemble vs. its setup and
+	// recovery code). Individual functions elsewhere opt in
 	// with a //statslint:hotpath doc comment.
 	HotPathFiles map[string][]string
 }
@@ -121,13 +121,13 @@ type Config struct {
 // internal/stat, internal/quality — analysis-side code whose outputs are
 // derived artifacts, not committed protocol outputs.
 // The hot-path seeds mirror where PR 7's allocation wins live: every
-// ring operation runs once per pipeline hop, and the engine's frontier/
-// commit/assemble files run once per input on the committed path.
+// ring operation runs once per pipeline hop, and the engine's commit/
+// assemble files run once per input on the committed path.
 func DefaultConfig() *Config {
 	return &Config{
 		HotPathPackages: []string{"gostats/internal/ring"},
 		HotPathFiles: map[string][]string{
-			"gostats/internal/engine": {"frontier.go", "commit.go", "assemble.go"},
+			"gostats/internal/engine": {"commit.go", "assemble.go"},
 		},
 		CriticalPrefixes: []string{
 			"gostats/internal/engine",

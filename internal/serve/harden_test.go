@@ -13,6 +13,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gostats/internal/checkpoint"
+	"gostats/internal/stream"
 )
 
 // TestOversizedBodyRejected: a request body beyond -max-body gets 413,
@@ -65,6 +68,66 @@ func TestOversizedLineRejected(t *testing.T) {
 	}
 	if !strings.Contains(string(b), "length limit") {
 		t.Fatalf("oversized line: body %q does not name the limit", b)
+	}
+}
+
+// TestSessionShapeBounded: a session shape past the server limits —
+// from the query or from a #resume snapshot — gets a 400 before any
+// pipeline starts (the shared collector never sees a session), while an
+// in-range session on the same server still starts. The probes sit just
+// past each limit, so a regressed check starts a small pipeline the
+// session count catches rather than one that exhausts memory; the
+// overflowing values live in FuzzSessionQuery's corpus, which never
+// starts a pipeline.
+func TestSessionShapeBounded(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Metrics = stream.NewMetrics()
+	ts := httptest.NewServer(New(cfg, Options{}).Handler())
+	defer ts.Close()
+	post := func(query, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/stream/facetrack?"+query, "application/x-ndjson", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	for _, q := range []string{"workers=257", "chunk=65537", "lookback=65537", "extra=65"} {
+		if code := post(q, ""); code != http.StatusBadRequest {
+			t.Errorf("query %s: status %d, want 400", q, code)
+		}
+	}
+	for name, mutate := range map[string]func(*checkpoint.Snapshot){
+		"workers":     func(s *checkpoint.Snapshot) { s.Workers = maxWorkers + 1 },
+		"chunk":       func(s *checkpoint.Snapshot) { s.ChunkSize = maxChunk + 1 },
+		"lookback":    func(s *checkpoint.Snapshot) { s.Lookback = maxChunk + 1 },
+		"extra":       func(s *checkpoint.Snapshot) { s.ExtraStates = maxWidth + 1 },
+		"inner width": func(s *checkpoint.Snapshot) { s.InnerWidth = maxWidth + 1 },
+		"max chunk":   func(s *checkpoint.Snapshot) { s.MaxChunk = 4*maxChunk + 1 },
+	} {
+		snap := &checkpoint.Snapshot{Benchmark: "facetrack", Seed: 7,
+			ChunkSize: 8, Lookback: 3, ExtraStates: 1, InnerWidth: 1, Workers: 3}
+		mutate(snap)
+		b64, err := checkpoint.EncodeString(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := post("resume=1", resumePrefix+b64+"\n"); code != http.StatusBadRequest {
+			t.Errorf("resume snapshot with out-of-range %s: status %d, want 400", name, code)
+		}
+	}
+	if n := cfg.Metrics.Sessions.Load(); n != 0 {
+		t.Fatalf("%d pipelines started for out-of-range shapes, want 0", n)
+	}
+
+	if code := post("workers=2&chunk=4", ""); code != http.StatusOK {
+		t.Fatalf("in-range session: status %d, want 200", code)
+	}
+	if n := cfg.Metrics.Sessions.Load(); n != 1 {
+		t.Fatalf("in-range session: %d pipelines started, want 1", n)
 	}
 }
 

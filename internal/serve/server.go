@@ -457,6 +457,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("session exceeded -session-timeout %s", s.lim.SessionTimeout))
 		defer tcancel()
 	}
+	if err := checkShape(cfg); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	p, err := stream.New(ctx, prog, cfg)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -729,6 +733,39 @@ func applyQuery(cfg *stream.Config, r *http.Request) error {
 		cfg.Adapt = b
 	}
 	return cfg.Validate()
+}
+
+// Session-shape limits. A client picks the shape through the query or a
+// #resume snapshot, and the pipeline sizes up-front allocations from it:
+// workers sets the goroutine count and ring capacities, chunk the ingest
+// ring and output buffer (2×chunk each), extra states and inner width
+// the states and goroutines per boundary. Validate checks only signs,
+// and an allocation past memory is a crash recover() cannot catch.
+const (
+	maxWorkers = 256
+	maxChunk   = 1 << 16 // chunk and lookback; MaxChunk defaults to 4×chunk
+	maxWidth   = 64      // extra states and inner width
+)
+
+// checkShape refuses a session whose shape exceeds the limits above, in
+// the query-derived config or in the #resume snapshot that replaces it.
+// The handler calls it before any pipeline starts.
+func checkShape(cfg stream.Config) error {
+	shapes := [][6]int{{cfg.Workers, cfg.ChunkSize, cfg.Lookback, cfg.ExtraStates, cfg.InnerWidth, cfg.MaxChunk}}
+	if rc := cfg.Resume; rc != nil && rc.Snap != nil {
+		s := rc.Snap
+		shapes = append(shapes, [6]int{s.Workers, s.ChunkSize, s.Lookback, s.ExtraStates, s.InnerWidth, s.MaxChunk})
+	}
+	names := [6]string{"workers", "chunk", "lookback", "extra", "inner width", "max chunk"}
+	limits := [6]int{maxWorkers, maxChunk, maxChunk, maxWidth, maxWidth, 4 * maxChunk}
+	for _, sh := range shapes {
+		for i, v := range sh {
+			if v > limits[i] {
+				return fmt.Errorf("session %s %d exceeds the server limit %d", names[i], v, limits[i])
+			}
+		}
+	}
+	return nil
 }
 
 // queryInt parses an optional non-negative integer query parameter;
